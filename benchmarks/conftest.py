@@ -12,9 +12,10 @@ plus the paper's own measures (rounds, activations), optional per-phase
 timings, and a provenance stamp (git sha, python/numpy versions,
 backend) — merge-updated by key so re-runs refresh rather than
 duplicate.  Rows from a pre-migration v1 file merge cleanly (the compat
-reader in :mod:`repro.telemetry.bench` normalizes them).  CI archives
-the file; perf gates read their anchors from constants, not from it, so
-a stale file can never relax a gate.
+reader in :mod:`repro.telemetry.bench` normalizes them).  The file is
+written only by ``--runslow`` sessions, so a tier-1 run leaves the tree
+clean.  CI archives the file; perf gates read their anchors from
+constants, not from it, so a stale file can never relax a gate.
 """
 
 import collections
@@ -88,7 +89,7 @@ def _write_bench_file(rootpath) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if _BENCH_ROWS:
+    if _BENCH_ROWS and session.config.getoption("--runslow", default=False):
         _write_bench_file(session.config.rootpath)
         print(f"\nBENCH rows written to {_BENCH_FILE}: {len(_BENCH_ROWS)} updated")
     if not _ROWS:

@@ -33,8 +33,10 @@ count toward the paper's activation measures).
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping
 
 from ..engine.actions import edge_key
@@ -146,21 +148,68 @@ def _mutable_adj(network) -> dict:
     return {u: set(network.neighbors(u)) for u in network.nodes}
 
 
-def _component(adj: dict, start, stop_at=None) -> set:
-    """The component of ``start``; with ``stop_at``, abandon the walk the
-    moment that node is reached (early-exit reachability test)."""
+def _component(adj: dict, start) -> set:
+    """The component of ``start``."""
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
         for v in adj[u]:
             if v not in seen:
-                if v == stop_at:
-                    seen.add(v)
-                    return seen
                 seen.add(v)
                 stack.append(v)
     return seen
+
+
+def _components(adj: dict) -> dict:
+    """Map every node to its component's sorted member list (one list
+    object shared by all members of the component)."""
+    comp_of: dict = {}
+    for start in adj:
+        if start not in comp_of:
+            members = sorted(_component(adj, start))
+            for w in members:
+                comp_of[w] = members
+    return comp_of
+
+
+def _walk(adj: dict, start, seen: set):
+    """Depth-first search from ``start`` that yields after every
+    adjacency step, so two searches can run in lockstep."""
+    stack = [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+            yield v
+
+
+_DONE = object()
+
+
+def _cut_side(adj: dict, u, v) -> tuple | None:
+    """Whether ``u`` and ``v`` are separated, in time proportional to
+    the smaller side.
+
+    Searches from ``u`` and ``v`` in lockstep, one adjacency step each.
+    Returns None the moment a search reaches a node the other has seen
+    (still connected); otherwise ``(end, side)`` for the search that ran
+    out first: its start node and the full node set of its side.
+    """
+    seen_u, seen_v = {u}, {v}
+    walk_u, walk_v = _walk(adj, u, seen_u), _walk(adj, v, seen_v)
+    while True:
+        w = next(walk_u, _DONE)
+        if w is _DONE:
+            return u, seen_u
+        if w in seen_v:
+            return None
+        w = next(walk_v, _DONE)
+        if w is _DONE:
+            return v, seen_v
+        if w in seen_u:
+            return None
 
 
 def _connected(adj: dict) -> bool:
@@ -233,32 +282,40 @@ class Adversary:
 
         Mutates ``adj`` as drops/reroutes are accepted, so later
         candidates see earlier decisions.  Returns (drops, adds).
+
+        Invariant: a node's strike-start component does not change
+        during the strike — "skip" restores every disconnecting drop and
+        "reroute" reconnects the two sides of every cut it makes.  So
+        the components are computed once, and the far side of a cut is
+        its component minus the side the lockstep search exhausted.
+        ``_reroute_pair`` only reads the two smallest labels of each
+        side, so a drop costs time proportional to the smaller side.
         """
         drops: list = []
         adds: list = []
+        comp_of = _components(adj) if self.policy == "reroute" else None
         for u, v in candidates:
+            key = edge_key(u, v)
             adj[u].discard(v)
             adj[v].discard(u)
-            # Early-exit walk: on a non-bridge (the common case) this
-            # stops as soon as it finds v, instead of scanning the graph.
-            comp_u = _component(adj, u, stop_at=v)
-            if v in comp_u:
-                drops.append(edge_key(u, v))
+            cut = _cut_side(adj, u, v)
+            if cut is None:
+                drops.append(key)
                 continue
-            if self.policy == "skip":
-                adj[u].add(v)
-                adj[v].add(u)
-                continue
-            comp_v = _component(adj, v)
-            repair = _reroute_pair(comp_u, comp_v, edge_key(u, v))
-            if repair is None:  # two singletons: nothing else can reconnect
+            repair = None
+            if comp_of is not None:
+                end, side = cut
+                near = heapq.nsmallest(2, side)
+                far = list(islice((w for w in comp_of[u] if w not in side), 2))
+                repair = _reroute_pair(*((near, far) if end == u else (far, near)), key)
+            if repair is None:  # skip, or two singletons: nothing else can reconnect
                 adj[u].add(v)
                 adj[v].add(u)
                 continue
             a, b = repair
             adj[a].add(b)
             adj[b].add(a)
-            drops.append(edge_key(u, v))
+            drops.append(key)
             adds.append(repair)
         return drops, adds
 
