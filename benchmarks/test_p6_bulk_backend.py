@@ -2,9 +2,9 @@
 
 The bulk backend (``backend="bulk"``; DESIGN.md, "Phase kernels & bulk
 backend") runs only *due* nodes each round, with the fleet's wake state
-in numpy arrays.  Its contract is the dense backend's: byte-identical
-JSONL traces and equal metrics — asserted below on the benchmarked
-workload family itself, so the gates provably compare equal
+in numpy arrays.  Its contract is byte-identical JSONL traces and equal
+metrics against the reference backend — asserted below on the
+benchmarked workload family itself, so the gates provably compare equal
 computations.
 
 The anchor workload is GraphToWreath on ``increasing_ring`` — UIDs
@@ -14,7 +14,9 @@ walks take ~2n rounds with a tiny per-round active set.  Dense measured
 bulk runs the same execution in ~10 s because only ~0.5% of node-rounds
 are due.  The flip side, recorded honestly: on *random*-UID rings the
 same n finishes in ~700 high-activity rounds where parking buys nothing,
-and bulk is only at parity with dense (see DESIGN.md's Amdahl notes).
+and the sparse path is only at parity with bulk's per-node loop (see
+DESIGN.md's Amdahl notes).  The dense anchor is the per-node loop's
+wall time, recorded when that loop was still a separate backend.
 
 Slow-tier gates (``--runslow``) additionally smoke the xlarge regime
 (n=1e5) under wall-clock and peak-RSS ceilings, and record all measured
@@ -30,6 +32,8 @@ import time
 import pytest
 
 from repro.core import run_graph_to_wreath
+from repro.core.graph_to_wreath import GraphToWreathProgram
+from repro.engine import SynchronousRunner
 from repro.graphs import families
 from repro.telemetry import TelemetryObserver
 
@@ -47,6 +51,12 @@ XLARGE_WALL_CEILING_S = 600.0
 XLARGE_RSS_CEILING_KB = 4 * 1024 * 1024  # 4 GiB
 
 
+class PerNodeWreath(GraphToWreathProgram):
+    """GraphToWreath pinned to bulk's per-node loop (no wake parking)."""
+
+    bulk_sparse = False
+
+
 def _wall(fn) -> float:
     t0 = time.perf_counter()
     fn()
@@ -58,28 +68,33 @@ def test_p6_trace_identity_oracle_on_anchor_family():
     traces and equal metrics on the anchor workload family."""
     for family, n in ((ANCHOR_FAMILY, 256), ("ring", 256)):
         graph = families.make(family, n)
-        dense = run_graph_to_wreath(graph, collect_trace=True, backend="dense")
+        ref = run_graph_to_wreath(graph, collect_trace=True, backend="reference")
         bulk = run_graph_to_wreath(graph, collect_trace=True, backend="bulk")
-        assert bulk.trace.to_jsonl() == dense.trace.to_jsonl(), family
-        assert bulk.metrics == dense.metrics, family
+        assert bulk.trace.to_jsonl() == ref.trace.to_jsonl(), family
+        assert bulk.metrics == ref.metrics, family
 
 
 def test_p6_bulk_never_loses_badly_at_small_n(experiment_rows):
     """At small n the wreath's segments are short, so parking amortizes
-    poorly and bulk is only expected to hold parity with dense — this
-    floor catches a regressed wake path (e.g. everything going stale
-    every round), not a missing speedup."""
+    poorly and the sparse path is only expected to hold parity with
+    bulk's per-node loop — this floor catches a regressed wake path
+    (e.g. everything going stale every round), not a missing speedup."""
     graph = families.make(ANCHOR_FAMILY, 512)
-    dense = min(_wall(lambda: run_graph_to_wreath(graph, backend="dense")) for _ in range(2))
+
+    def pernode_run():
+        SynchronousRunner(graph, PerNodeWreath, use_barrier=True, backend="bulk").run()
+
+    pernode = min(_wall(pernode_run) for _ in range(2))
     bulk = min(_wall(lambda: run_graph_to_wreath(graph, backend="bulk")) for _ in range(2))
     experiment_rows(
         "P6 bulk backend",
         {"workload": f"GraphToWreath {ANCHOR_FAMILY} n=512",
-         "dense_ms": round(dense * 1e3, 1), "bulk_ms": round(bulk * 1e3, 1),
-         "speedup": round(dense / bulk, 2)},
+         "pernode_ms": round(pernode * 1e3, 1), "bulk_ms": round(bulk * 1e3, 1),
+         "speedup": round(pernode / bulk, 2)},
     )
-    assert bulk < dense * 1.5, (
-        f"bulk lost badly at n=512: dense {dense*1e3:.1f} ms vs bulk {bulk*1e3:.1f} ms"
+    assert bulk < pernode * 1.5, (
+        f"bulk lost badly at n=512: per-node {pernode*1e3:.1f} ms vs "
+        f"bulk {bulk*1e3:.1f} ms"
     )
 
 
@@ -90,13 +105,13 @@ def test_p6_wreath_anchor_gate(experiment_rows, bench_engine):
 
     The trace-identity oracle runs first at n=1024 on both backends of
     the same family, so the timed bulk run is known to compute the same
-    execution dense would.
+    execution the reference backend does.
     """
     oracle = families.make(ANCHOR_FAMILY, 1024)
-    dense = run_graph_to_wreath(oracle, collect_trace=True, backend="dense")
+    ref = run_graph_to_wreath(oracle, collect_trace=True, backend="reference")
     bulk = run_graph_to_wreath(oracle, collect_trace=True, backend="bulk")
-    assert bulk.trace.to_jsonl() == dense.trace.to_jsonl()
-    assert bulk.metrics == dense.metrics
+    assert bulk.trace.to_jsonl() == ref.trace.to_jsonl()
+    assert bulk.metrics == ref.metrics
 
     graph = families.make(ANCHOR_FAMILY, ANCHOR_N)
     result = {}

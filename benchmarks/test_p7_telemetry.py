@@ -4,7 +4,10 @@ The telemetry layer's perf contract (DESIGN.md, "Telemetry &
 profiling") has two halves: the *disabled* path is a single ``is
 None`` test per round (byte-identity asserted in
 tests/test_telemetry.py), and the *enabled* path stays within 5% of
-the unprofiled wall on the wreath n=1024 anchor workload.
+the unprofiled wall on the wreath n=1024 anchor workload, on both of
+bulk's per-node round paths: the sparse wake path and the per-node
+fallback loop (reached through a test-local ``bulk_sparse = False``
+subclass).
 
 Measuring a few-percent delta on a shared CI box needs care: this
 machine drifts by 10-25% over a minute, so a naive best-of-3 of A
@@ -15,7 +18,7 @@ and min-of-4 discards warm-up and GC outliers.  A small absolute
 epsilon absorbs the remaining jitter; the true per-round telemetry
 cost is ~2 us (microbenchmarked), i.e. well under 1% here.
 
-The profiled runs double as the schema smoke: each backend's
+The profiled runs double as the schema smoke: each round path's
 RunProfile must be internally consistent (round counts, dispatch
 totals, phase shares) and survive a JSON round-trip.  The slow tier
 records profiled wreath rows — including the per-phase breakdown —
@@ -28,7 +31,8 @@ import time
 
 import pytest
 
-from repro.core import run_graph_to_wreath
+from repro.core.graph_to_wreath import GraphToWreathProgram
+from repro.engine import run_program
 from repro.graphs import families
 from repro.telemetry import RunProfile, TelemetryObserver, build_provenance
 
@@ -42,6 +46,16 @@ OVERHEAD_FACTOR = 1.05
 OVERHEAD_EPS_S = 0.05
 
 ABBA_BLOCKS = 2  # 4 runs per arm
+
+
+class PerNodeWreath(GraphToWreathProgram):
+    """GraphToWreath pinned to bulk's per-node loop (no wake parking)."""
+
+    bulk_sparse = False
+
+
+def _run_wreath(graph, program=GraphToWreathProgram, **kwargs):
+    return run_program(graph, program, use_barrier=True, **kwargs)
 
 
 def _wall(fn) -> float:
@@ -79,52 +93,58 @@ def _check_profile(prof, backend: str, n: int) -> None:
     assert rt.as_dict() == prof.as_dict()
 
 
-def _overhead_gate(backend: str, experiment_rows, bench_engine) -> None:
-    build_provenance(backend)  # warm the cached git/numpy lookups
+def _overhead_gate(scenario: str, program, experiment_rows, bench_engine) -> None:
+    build_provenance("bulk")  # warm the cached git/numpy lookups
     graph = families.make(ANCHOR_FAMILY, ANCHOR_N)
     last = {}
 
     def base_fn():
-        run_graph_to_wreath(graph, backend=backend)
+        _run_wreath(graph, program, backend="bulk")
 
     def prof_fn():
         telemetry = TelemetryObserver()
-        last["res"] = run_graph_to_wreath(graph, backend=backend, observers=[telemetry])
+        last["res"] = _run_wreath(graph, program, backend="bulk", observers=[telemetry])
         last["prof"] = telemetry.profile()
 
     base, prof = _abba_minima(base_fn, prof_fn)
     profile = last["prof"]
-    _check_profile(profile, backend, ANCHOR_N)
+    _check_profile(profile, "bulk", ANCHOR_N)
     assert profile.rounds == last["res"].metrics.rounds
 
     experiment_rows(
         "P7 telemetry overhead",
-        {"workload": f"GraphToWreath {ANCHOR_FAMILY} n={ANCHOR_N} ({backend})",
+        {"workload": f"GraphToWreath {ANCHOR_FAMILY} n={ANCHOR_N} ({scenario})",
          "base_ms": round(base * 1e3, 1), "profiled_ms": round(prof * 1e3, 1),
          "overhead": f"{(prof / base - 1) * 100:+.1f}%"},
     )
     bench_engine(
-        "wreath", ANCHOR_N, backend, prof * 1e3,
+        scenario, ANCHOR_N, "bulk", prof * 1e3,
         rounds=profile.rounds, activations=profile.activations,
         phases=profile.phases,
     )
     assert prof < base * OVERHEAD_FACTOR + OVERHEAD_EPS_S, (
-        f"telemetry overhead on {backend}: base {base*1e3:.0f} ms vs "
+        f"telemetry overhead on {scenario}: base {base*1e3:.0f} ms vs "
         f"profiled {prof*1e3:.0f} ms ({(prof/base-1)*100:+.1f}%)"
     )
 
 
 def test_p7_profile_well_formed_on_every_backend():
-    """A profiled run on each backend emits a consistent RunProfile."""
+    """A profiled run on each backend and round path emits a consistent
+    RunProfile."""
     graph = families.make(ANCHOR_FAMILY, 128)
-    for backend in ("reference", "dense", "bulk"):
+    legs = (
+        ("reference", GraphToWreathProgram),
+        ("bulk", GraphToWreathProgram),
+        ("bulk", PerNodeWreath),
+    )
+    for backend, program in legs:
         telemetry = TelemetryObserver()
-        res = run_graph_to_wreath(graph, backend=backend, observers=[telemetry])
+        res = _run_wreath(graph, program, backend=backend, observers=[telemetry])
         prof = telemetry.profile()
         _check_profile(prof, backend, 128)
         assert prof.rounds == res.metrics.rounds
         assert prof.activations == res.metrics.total_activations
-        if backend == "bulk":
+        if program.bulk_sparse and backend == "bulk":
             assert "sparse" in prof.dispatch, prof.dispatch
             assert prof.due is not None
             assert sum(prof.wake_hits.values()) > 0
@@ -134,11 +154,12 @@ def test_p7_profile_well_formed_on_every_backend():
 
 def test_p7_overhead_gate_bulk(experiment_rows, bench_engine):
     """Telemetry-on wall stays within 5% of base on bulk, wreath n=1024."""
-    _overhead_gate("bulk", experiment_rows, bench_engine)
+    _overhead_gate("wreath", GraphToWreathProgram, experiment_rows, bench_engine)
 
 
 @pytest.mark.slow
-def test_p7_overhead_gate_dense(experiment_rows, bench_engine):
-    """Same gate on dense, where the per-round body is ~2 ms of Python —
-    slow tier because 8 interleaved n=1024 runs take ~30 s."""
-    _overhead_gate("dense", experiment_rows, bench_engine)
+def test_p7_overhead_gate_pernode(experiment_rows, bench_engine):
+    """Same gate on bulk's per-node loop, where the per-round body is
+    ~2 ms of Python — slow tier because 8 interleaved n=1024 runs take
+    ~30 s."""
+    _overhead_gate("wreath-pernode", PerNodeWreath, experiment_rows, bench_engine)

@@ -11,7 +11,9 @@ vectorized passes, and the wreath splice kernel's *rebuild assist*
 simulates REBUILD-segment rounds as segment-array surgery.
 
 Both gates compare against recorded dense anchors (constants below, on
-the reference 1-core machine), with the byte-identity oracle run first
+the reference 1-core machine: the wall of the per-node loop, recorded
+when it was still the separate ``dense`` backend), with the
+byte-identity oracle against the reference backend run first
 on the same workload family so the timed bulk run provably computes the
 same execution.  Profiled runs keep the kernels engaged (the star
 kernel reports ``kernel`` dispatch, the assist ``assist``), so the
@@ -68,10 +70,10 @@ def _wall(fn) -> float:
 
 def _assert_identical(run, family, n):
     graph = families.make(family, n)
-    dense = run(graph, collect_trace=True, backend="dense")
+    ref = run(graph, collect_trace=True, backend="reference")
     bulk = run(graph, collect_trace=True, backend="bulk")
-    assert bulk.trace.to_jsonl() == dense.trace.to_jsonl(), (run, family, n)
-    assert bulk.metrics == dense.metrics, (run, family, n)
+    assert bulk.trace.to_jsonl() == ref.trace.to_jsonl(), (run, family, n)
+    assert bulk.metrics == ref.metrics, (run, family, n)
 
 
 def test_p9_trace_identity_oracle_on_anchor_families():

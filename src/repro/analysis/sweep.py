@@ -131,7 +131,7 @@ class SweepCell:
     at execution time, so perturbed cells stay byte-deterministic under
     parallel execution exactly like unperturbed ones.
 
-    ``backend`` selects the engine backend (``"reference"``/``"dense"``;
+    ``backend`` selects the engine backend (``"reference"``/``"bulk"``;
     DESIGN.md, "Engine backends").  ``None`` defers to the runner's
     default (the ``REPRO_BACKEND`` environment variable, then
     ``"reference"``); either way the resolved name is stamped into the

@@ -354,6 +354,8 @@ def _check_cells(args, algorithms, families) -> int:
     try:
         for name in algorithms:
             spec = get_scenario(name)  # fail fast, before any cell runs
+            if spec.supports_backend:
+                resolve_backend(args.backend)  # an unknown $REPRO_BACKEND too
             for family in families:
                 check_cell(
                     spec, family=family, backend=args.backend,

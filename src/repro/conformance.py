@@ -518,16 +518,8 @@ def _use_arrays(arrays) -> bool:
     """Resolve the checker implementation choice (see make_checkers)."""
     if arrays is None:
         env = os.environ.get("REPRO_CHECKERS", "").strip().lower()
-        if env in ("dict", "python"):
-            return False
-        arrays = True
-    if not arrays:
-        return False
-    try:
-        from . import conformance_arrays  # noqa: F401 (probe the numpy dep)
-    except ImportError:
-        return False
-    return True
+        return env not in ("dict", "python")
+    return bool(arrays)
 
 
 def make_checkers(invariants, *, arrays: bool | None = None) -> list:
@@ -539,7 +531,7 @@ def make_checkers(invariants, *, arrays: bool | None = None) -> list:
 
     ``arrays`` selects the structural checkers' implementation: the
     array-native ones from :mod:`repro.conformance_arrays` (``True``,
-    and the default whenever numpy is importable) or the dict-based
+    the default) or the dict-based
     oracle ones defined here (``False``).  The default can be forced to
     the oracle with ``REPRO_CHECKERS=dict`` in the environment (the
     knob the verdict-equality suite and the bench gate use); verdicts
@@ -635,7 +627,7 @@ def check_trace(graph, trace, checkers, *, baselines: str = "chained") -> list:
     for si, records in enumerate(segments):
         for c in checkers:
             c.on_run_start(net)
-        # The baseline tracker (array replay when numpy is available)
+        # The baseline tracker (array replay unless REPRO_CHECKERS=dict)
         # only runs when a later segment will consume its end state:
         # single-segment archives — every large-n audit — skip the fold
         # entirely, and restart mode never folds.
@@ -832,8 +824,8 @@ def _baseline_tasks(
 
 
 def _make_tracker():
-    """A baseline-fold tracker: the array replay when numpy is
-    available, the dict replay otherwise.  Both fold identically (the
+    """A baseline-fold tracker: the array replay by default, the dict
+    replay under ``REPRO_CHECKERS=dict``.  Both fold identically (the
     array tracker shares the dict fold for perturbations outright)."""
     if _use_arrays(None):
         from .conformance_arrays import ArrayReplayTracker

@@ -1,8 +1,9 @@
 """Synchronous actively-dynamic-network simulation engine."""
 
 from .actions import RoundActions, canonical_view, edge_key
+from .bulk import BulkRunner
 from .centralized import CentralizedResult, CentralizedStrategy, run_centralized
-from .dense import DenseConnectivityTracker, DenseContext, DenseNetwork, DenseRunner
+from .dense import DenseConnectivityTracker, DenseContext, DenseNetwork
 from .metrics import Metrics, MetricsRecorder, aggregate_metrics
 from .network import ConnectivityTracker, Network
 from .observers import ActivityObserver, JsonlSink, RoundObserver, TraceObserver
@@ -24,17 +25,6 @@ from .tracebin import (
     trace_sink_for,
 )
 
-
-def __getattr__(name):
-    # BulkRunner is imported lazily so that a missing numpy only fails
-    # when the bulk backend is actually requested (with a clear message).
-    if name == "BulkRunner":
-        from .bulk import BulkRunner
-
-        return BulkRunner
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BulkRunner",
     "ActivityObserver",
@@ -51,7 +41,6 @@ __all__ = [
     "DenseConnectivityTracker",
     "DenseContext",
     "DenseNetwork",
-    "DenseRunner",
     "Metrics",
     "MetricsRecorder",
     "Network",

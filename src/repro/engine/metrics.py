@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .network import Network
 
 
@@ -119,20 +121,15 @@ class MetricsRecorder:
         # per edge while the packed-key path is ~50 ns.  The dict/set
         # state stays authoritative (small rounds keep the plain loop);
         # the arrays only mirror what the fast path needs.
-        self._np = None
-        if getattr(network, "_identity", False):
-            try:
-                import numpy
-            except ImportError:  # pragma: no cover - numpy is a core dep
-                numpy = None
-            if numpy is not None and not self._activated_now:
-                pairs = getattr(network, "_orig_pairs", None)
-                if pairs is not None:
-                    self._np = numpy
-                    orig = numpy.fromiter(pairs, numpy.int64, len(pairs))
-                    orig.sort()
-                    self._orig_arr = orig
-                    self._degree_arr = numpy.zeros(network.n, numpy.int64)
+        self._arrays = False
+        if getattr(network, "_identity", False) and not self._activated_now:
+            pairs = getattr(network, "_orig_pairs", None)
+            if pairs is not None:
+                self._arrays = True
+                orig = np.fromiter(pairs, np.int64, len(pairs))
+                orig.sort()
+                self._orig_arr = orig
+                self._degree_arr = np.zeros(network.n, np.int64)
 
     def record_round(
         self,
@@ -153,10 +150,10 @@ class MetricsRecorder:
         # Both extremes are high-watermarks: they can only rise through this
         # round's activations, so only the touched degrees need re-checking
         # (keeps idle rounds O(1) instead of O(n)).
-        np = self._np
-        degree = self._activated_degree if np is None else self._degree_arr
+        arrays = self._arrays
+        degree = self._degree_arr if arrays else self._activated_degree
         top = m.max_activated_degree
-        if np is not None and len(activations) >= _BULK_THRESHOLD:
+        if arrays and len(activations) >= _BULK_THRESHOLD:
             top = max(top, self._bulk_activations(activations))
         else:
             for e in activations:
@@ -174,7 +171,7 @@ class MetricsRecorder:
         # The vectorized deactivation filter needs the activated-only set
         # as a packed array (O(|A|) rebuild), so it only pays off when the
         # round retires a sizable fraction of it — the halting fan-out.
-        if np is not None and len(deactivations) >= max(
+        if arrays and len(deactivations) >= max(
             _BULK_THRESHOLD, len(self._activated_now) >> 3
         ):
             self._bulk_deactivations(deactivations)
@@ -194,7 +191,6 @@ class MetricsRecorder:
         round, so original-membership is one sorted packed-key probe and
         the degree bumps are one scatter-add.
         """
-        np = self._np
         k = len(activations)
         flat = np.fromiter(
             (c for e in activations for c in e), dtype=np.int64, count=2 * k
@@ -216,7 +212,6 @@ class MetricsRecorder:
 
     def _bulk_deactivations(self, deactivations: set) -> None:
         """Array-path deactivation counters (the halting fan-out rounds)."""
-        np = self._np
         now = self._activated_now
         k = len(deactivations)
         flat = np.fromiter(
@@ -256,14 +251,14 @@ class MetricsRecorder:
         m.adversary_edge_adds += len(added)
         m.adversary_crashes += len(crashes)
         m.adversary_joins += len(joins)
-        if self._np is not None:
+        if self._arrays:
             # Adversary wiring retires/extends the uid space and folds
             # edges into E(1): fall back to the dict counters for good.
             degree = self._activated_degree
             for u, d in enumerate(self._degree_arr.tolist()):
                 if d:
                     degree[u] = d
-            self._np = None
+            self._arrays = False
         self._original = self._network.original_edges
         degree = self._activated_degree
         for e in dropped:

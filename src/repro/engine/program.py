@@ -220,7 +220,7 @@ class PhaseKernel:
     machines — so a program family can declare that logic once, at the
     phase level, as pure functions over struct-of-arrays state instead of
     per-object method calls.  The per-node :class:`NodeProgram` methods
-    stay the single source of truth for reference/dense execution and
+    stay the single source of truth for per-node execution and
     become thin wrappers over the same pure functions, so behavior on the
     existing backends is unchanged by construction.
 

@@ -50,10 +50,7 @@ import struct
 import zlib
 from typing import NamedTuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a core dependency
-    _np = None
+import numpy as _np
 
 from ..errors import ConfigurationError, TraceError
 from .observers import JsonlSink, RoundObserver
@@ -796,7 +793,7 @@ class BinaryTraceReader:
         """Yield segment ``index``'s records (rounds and perturbations,
         interleaved in file order), streaming and fully validated.
 
-        With ``arrays=True`` (and numpy importable), int-delta round
+        With ``arrays=True``, int-delta round
         frames decode into :class:`ArrayRound`s — whole edge blocks as
         int64 endpoint arrays via a vectorized varint pass, no per-pair
         Python — which the conformance checkers consume natively.
@@ -855,7 +852,7 @@ class BinaryTraceReader:
                     if tag == _FRAME_ROUND:
                         record = (
                             _decode_round_arrays(payload)
-                            if arrays and _np is not None
+                            if arrays
                             else _decode_round(payload)
                         )
                         rounds += 1

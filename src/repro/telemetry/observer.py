@@ -10,7 +10,7 @@ hot-path probes the stream cannot see:
   limit (the heartbeat's progress bound), and the program family's
   optional ``PhaseKernel.phase_of`` for per-phase accounting.
 * ``probe_round(round_no, live=, due=, dispatch=, acts=, ...)`` — called
-  at the very end of each executed round by all three backends with the
+  at the very end of each executed round by both backends with the
   round's activation counts plus the occupancy the observer cannot
   reconstruct: live-set size, the bulk backend's due-filter (wake-set)
   size and per-cause wake-condition hit counts, and which dispatch path

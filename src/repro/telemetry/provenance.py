@@ -13,6 +13,8 @@ import subprocess
 from functools import lru_cache
 from pathlib import Path
 
+import numpy
+
 
 @lru_cache(maxsize=1)
 def git_sha() -> str | None:
@@ -30,20 +32,12 @@ def git_sha() -> str | None:
     return sha if proc.returncode == 0 and sha else None
 
 
-def _numpy_version() -> str | None:
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is a core dependency
-        return None
-    return numpy.__version__
-
-
 def build_provenance(backend: str | None = None) -> dict:
     """The full provenance stamp for one measurement."""
     return {
         "git_sha": git_sha(),
         "python": platform.python_version(),
-        "numpy": _numpy_version(),
+        "numpy": numpy.__version__,
         "platform": platform.platform(),
         "backend": backend,
     }

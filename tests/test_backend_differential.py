@@ -1,14 +1,13 @@
-"""Cross-backend differential fuzzer: every backend vs reference, trace
-for trace.
+"""Cross-backend differential fuzzer: bulk vs reference, trace for trace.
 
-The dense and bulk backends' contract (DESIGN.md, "Engine backends" and
-"Phase kernels & bulk backend") is strict: for every scenario and every
-adversary schedule they must produce a **byte-identical JSONL trace**
-and **equal Metrics** to the reference backend.  This suite samples
+The bulk backend's contract (DESIGN.md, "Engine backends" and "Phase
+kernels & bulk backend") is strict: for every scenario and every
+adversary schedule it must produce a **byte-identical JSONL trace** and
+**equal Metrics** to the reference backend.  This suite samples
 (algorithm, family, n, seed, adversary) cells across the whole scenario
-registry and asserts exactly that.  The bulk backend participates even
-for scenarios whose programs are not bulk-sparse (e.g. clique): its
-generic fallback must also be trace-identical.
+registry and asserts exactly that.  Programs that are not bulk-sparse
+(e.g. clique, and the per-node subclasses below) pin bulk's per-node
+fallback loop to the same contract.
 
 Two tiers: a small deterministic corpus that runs in CI, and a larger
 ``--runslow`` tier (``pytest --runslow``) that widens families, sizes,
@@ -16,9 +15,12 @@ seeds, and adversary schedules.
 """
 
 import io
+import re
 
 import pytest
 
+from repro.core.graph_to_star import GraphToStarProgram
+from repro.core.graph_to_wreath import GraphToWreathProgram
 from repro.dynamics import AdversarySpec, ChurnSchedule, ScriptedAdversary, make_adversary
 from repro.engine import (
     BACKENDS,
@@ -34,24 +36,14 @@ from repro.engine import (
     run_program,
     to_binary,
 )
+from repro.engine.bulk import BulkRunner
 from repro.engine.trace import PerturbationRecord
-from repro.engine.dense import DenseRunner
 from repro.errors import ConfigurationError
 from repro.graphs import families
 from repro.registry import get_algorithm, scenario_names, scenarios
 
-
-try:
-    import numpy  # noqa: F401
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is a core dependency
-    _HAS_NUMPY = False
-
 #: The backends differentially compared against "reference".
-COMPARISON_BACKENDS = [
-    b for b in BACKENDS if b != "reference" and (b != "bulk" or _HAS_NUMPY)
-]
+COMPARISON_BACKENDS = [b for b in BACKENDS if b != "reference"]
 
 
 def _episode_traces(result):
@@ -264,6 +256,48 @@ def test_runner_connectivity_guard_equivalent():
 
 
 # ----------------------------------------------------------------------
+# bulk's per-node fallback loop on the paper's own programs
+# ----------------------------------------------------------------------
+
+
+class _PerNodeWreath(GraphToWreathProgram):
+    """GraphToWreath pinned to bulk's per-node loop (no wake parking)."""
+
+    bulk_sparse = False
+
+
+class _PerNodeStar(GraphToStarProgram):
+    """GraphToStar pinned to bulk's per-node loop (no kernel, no parking)."""
+
+    bulk_sparse = False
+    phase_kernel = None
+
+
+@pytest.mark.parametrize("family", ["ring", "increasing_ring"])
+@pytest.mark.parametrize(
+    "program,kwargs",
+    [(_PerNodeWreath, {"use_barrier": True}), (_PerNodeStar, {})],
+    ids=["wreath", "star"],
+)
+def test_pernode_fallback_equivalent(program, kwargs, family):
+    """The kernels and the sparse wake path cover GraphToStar and
+    GraphToWreath on bulk everywhere else; these cells keep the per-node
+    loop byte-identical on the same programs at n=256."""
+    graph = families.make(family, 256)
+    results = {}
+    for backend in BACKENDS:
+        runner = SynchronousRunner(
+            graph, program, collect_trace=True, backend=backend, **kwargs
+        )
+        results[backend] = runner.run()
+        if backend == "bulk":
+            assert not runner._sparse and runner._kernel is None
+    ref, bulk = results["reference"], results["bulk"]
+    assert bulk.trace.to_jsonl() == ref.trace.to_jsonl()
+    assert bulk.metrics == ref.metrics
+
+
+# ----------------------------------------------------------------------
 # backend selection plumbing
 # ----------------------------------------------------------------------
 
@@ -273,62 +307,65 @@ def test_backend_dispatch_and_validation(monkeypatch):
     graph = families.make("ring", 8)
     ref = SynchronousRunner(graph, _Chatterer)
     assert type(ref) is SynchronousRunner and ref.backend == "reference"
-    dense = SynchronousRunner(graph, _Chatterer, backend="dense")
-    assert isinstance(dense, DenseRunner) and dense.backend == "dense"
     with pytest.raises(ConfigurationError):
         SynchronousRunner(graph, _Chatterer, backend="gpu")
     with pytest.raises(ConfigurationError):
-        DenseRunner(graph, _Chatterer, backend="reference")
+        BulkRunner(graph, _Chatterer, backend="reference")
 
 
-@pytest.mark.skipif(not _HAS_NUMPY, reason="bulk backend requires numpy")
 def test_bulk_backend_dispatch(monkeypatch):
-    from repro.engine.bulk import BulkRunner
-
     graph = families.make("ring", 8)
     bulk = SynchronousRunner(graph, _Chatterer, backend="bulk")
     assert isinstance(bulk, BulkRunner) and bulk.backend == "bulk"
-    assert isinstance(bulk, DenseRunner)  # generic fallback is inherited
+    # One fast engine on top of the reference oracle, nothing in between.
+    assert BulkRunner.__mro__ == (BulkRunner, SynchronousRunner, object)
     monkeypatch.setenv("REPRO_BACKEND", "bulk")
     assert isinstance(SynchronousRunner(graph, _Chatterer), BulkRunner)
     with pytest.raises(ConfigurationError):
-        BulkRunner(graph, _Chatterer, backend="dense")
+        BulkRunner(graph, _Chatterer, backend="reference")
 
 
-def test_bulk_backend_missing_numpy_message(monkeypatch):
-    """With numpy unimportable, requesting the bulk backend fails with a
-    clear ImportError naming the dependency and the alternatives."""
-    import builtins
-    import sys
+def test_retired_dense_backend_name_is_rejected(monkeypatch, capsys):
+    """``dense`` is no longer a backend: every way of naming it ends in
+    the unknown-backend ConfigurationError (exit 2 on the CLI) listing
+    the two backends that remain."""
+    from repro.analysis import SweepCell, SweepPlan
+    from repro.cli import main
 
-    monkeypatch.delitem(sys.modules, "repro.engine.bulk", raising=False)
-    monkeypatch.delitem(sys.modules, "numpy", raising=False)
-    real_import = builtins.__import__
-
-    def no_numpy(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("No module named 'numpy'")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numpy)
+    known = str(BACKENDS)
+    assert BACKENDS == ("reference", "bulk")
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     graph = families.make("ring", 8)
-    with pytest.raises(ImportError, match="bulk.*numpy|numpy.*bulk"):
-        SynchronousRunner(graph, _Chatterer, backend="bulk")
-    monkeypatch.undo()
-    # The module cache was poisoned with a half-imported module on some
-    # paths; force a clean re-import for later tests.
-    sys.modules.pop("repro.engine.bulk", None)
+    with pytest.raises(ConfigurationError, match=re.escape(known)):
+        SynchronousRunner(graph, _Chatterer, backend="dense")
+    with pytest.raises(ConfigurationError, match=re.escape(known)):
+        SweepPlan([SweepCell("star", "ring", 8, backend="dense")]).run()
+    monkeypatch.setenv("REPRO_BACKEND", "dense")
+    with pytest.raises(ConfigurationError, match=re.escape(known)):
+        SynchronousRunner(graph, _Chatterer)
+    assert main(["-a", "star", "-f", "ring", "--n", "8"]) == 2
+    assert known in capsys.readouterr().err
+    monkeypatch.delenv("REPRO_BACKEND")
+    for argv in (
+        ["-a", "star", "-f", "ring", "--n", "8", "--backend", "dense"],
+        ["--backend", "dense", "sweep", "-a", "star", "-f", "ring", "--sizes", "8"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'dense'" in err and "reference" in err and "bulk" in err
 
 
 def test_backend_env_default(monkeypatch):
     graph = families.make("ring", 8)
-    monkeypatch.setenv("REPRO_BACKEND", "dense")
-    assert isinstance(SynchronousRunner(graph, _Chatterer), DenseRunner)
+    monkeypatch.setenv("REPRO_BACKEND", "bulk")
+    assert isinstance(SynchronousRunner(graph, _Chatterer), BulkRunner)
     monkeypatch.setenv("REPRO_BACKEND", "bogus")
     with pytest.raises(ConfigurationError):
         SynchronousRunner(graph, _Chatterer)
     # An explicit argument always wins over the environment.
-    monkeypatch.setenv("REPRO_BACKEND", "dense")
+    monkeypatch.setenv("REPRO_BACKEND", "bulk")
     assert type(SynchronousRunner(graph, _Chatterer, backend="reference")) is SynchronousRunner
 
 

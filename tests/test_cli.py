@@ -116,10 +116,10 @@ class TestCompositionCli:
         out = capsys.readouterr().out
         assert "transform activity" in out and "solve activity" in out
 
-    def test_composition_on_dense_backend(self, capsys):
+    def test_composition_on_bulk_backend(self, capsys):
         assert main(["-a", "wreath+flood", "-f", "ring", "--n", "16",
-                     "--backend", "dense"]) == 0
-        assert "dense" in capsys.readouterr().out
+                     "--backend", "bulk"]) == 0
+        assert "bulk" in capsys.readouterr().out
 
     def test_composition_sweep(self, capsys):
         assert main([
@@ -245,10 +245,10 @@ class TestAdversaryFlags:
 
 
 class TestBackendFlag:
-    def test_run_with_dense_backend(self, capsys):
-        assert main(["-a", "star", "-f", "ring", "--n", "16", "--backend", "dense"]) == 0
+    def test_run_with_bulk_backend(self, capsys):
+        assert main(["-a", "star", "-f", "ring", "--n", "16", "--backend", "bulk"]) == 0
         out = capsys.readouterr().out
-        assert "backend" in out and "dense" in out
+        assert "backend" in out and "bulk" in out
 
     def test_run_stamps_resolved_backend_by_default(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -256,26 +256,26 @@ class TestBackendFlag:
         assert "reference" in capsys.readouterr().out
 
     def test_backend_rejected_for_centralized(self, capsys):
-        assert main(["-a", "euler", "-f", "ring", "--n", "16", "--backend", "dense"]) == 2
+        assert main(["-a", "euler", "-f", "ring", "--n", "16", "--backend", "bulk"]) == 2
         assert "centralized" in capsys.readouterr().err
 
     def test_sweep_backend_rejected_for_centralized(self, capsys):
         assert main(["sweep", "-a", "star,euler", "-f", "ring", "--sizes", "12",
-                     "--backend", "dense", "--quiet"]) == 2
+                     "--backend", "bulk", "--quiet"]) == 2
         assert "centralized" in capsys.readouterr().err
 
-    def test_sweep_with_dense_backend(self, capsys):
+    def test_sweep_with_bulk_backend(self, capsys):
         assert main(["sweep", "-a", "star", "-f", "ring", "--sizes", "12",
-                     "--backend", "dense", "--quiet"]) == 0
+                     "--backend", "bulk", "--quiet"]) == 0
         out = capsys.readouterr().out
-        assert "dense" in out
+        assert "bulk" in out
 
     def test_root_backend_flag_reaches_sweep(self, capsys):
-        # `repro --backend dense sweep ...` must not be clobbered by the
+        # `repro --backend bulk sweep ...` must not be clobbered by the
         # subparser's SUPPRESS default.
-        assert main(["--backend", "dense", "sweep", "-a", "star", "-f", "ring",
+        assert main(["--backend", "bulk", "sweep", "-a", "star", "-f", "ring",
                      "--sizes", "12", "--quiet"]) == 0
-        assert "dense" in capsys.readouterr().out
+        assert "bulk" in capsys.readouterr().out
 
     def test_parser_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):

@@ -22,12 +22,7 @@ try:
 except ImportError:  # pragma: no cover - exercised only without the extra
     HAVE_HYPOTHESIS = False
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.core.graph_to_star import PHASE_LEN, StarPhaseKernel
 from repro.core.modes import Mode
@@ -144,7 +139,6 @@ def _unpack_rows(matrix) -> list:
     return out
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestFloodKernelAgreement:
     @given(
         n=st.integers(min_value=2, max_value=24),
@@ -345,11 +339,10 @@ def _trace_bytes(algorithm, graph, backend) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestStarDenseKernelLockstep:
     """The star dense-phase kernel executes whole rounds as array ops;
     on random connected graphs and random UID placements its emitted
-    trace must match the per-node dense backend byte for byte."""
+    trace must match the reference backend byte for byte."""
 
     @given(
         n=st.integers(min_value=4, max_value=40),
@@ -357,12 +350,12 @@ class TestStarDenseKernelLockstep:
         seed=st.integers(min_value=0, max_value=999),
     )
     @settings(deadline=None, max_examples=12)
-    def test_bulk_trace_matches_dense(self, n, family, seed):
+    def test_bulk_trace_matches_reference(self, n, family, seed):
         from repro.graphs import families
 
         graph = families.make(family, n, seed=seed)
         assert _trace_bytes("star", graph, "bulk") == _trace_bytes(
-            "star", graph, "dense"
+            "star", graph, "reference"
         )
 
     def test_kernel_path_engages(self):
@@ -378,11 +371,10 @@ class TestStarDenseKernelLockstep:
 
 
 # ---------------------------------------------------------------------------
-# WreathSpliceKernel: the REBUILD array assist vs the per-node backends
+# WreathSpliceKernel: the REBUILD array assist vs the reference backend
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestWreathRebuildAssistLockstep:
     """The rebuild assist simulates whole REBUILD rounds in array form
     (repro.core.rebuild_arrays); on random-UID placements the bulk trace

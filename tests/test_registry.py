@@ -126,7 +126,7 @@ class TestCheckCell:
 
     def test_backend_rejected_for_centralized(self):
         with pytest.raises(ConfigurationError, match="centralized"):
-            check_cell(get_scenario("euler"), backend="dense")
+            check_cell(get_scenario("euler"), backend="bulk")
 
     def test_adversary_rejected_for_non_heal(self):
         with pytest.raises(ConfigurationError, match="not self-stabilizing"):
@@ -135,7 +135,7 @@ class TestCheckCell:
             check_cell(get_scenario("star+flood"), adversary=object())
 
     def test_adversary_accepted_for_heal(self):
-        check_cell(get_scenario("star-heal"), adversary=object(), backend="dense")
+        check_cell(get_scenario("star-heal"), adversary=object(), backend="bulk")
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigurationError, match="strikes"):

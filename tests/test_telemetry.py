@@ -21,6 +21,7 @@ import json
 
 import pytest
 
+from repro.core.graph_to_wreath import GraphToWreathProgram
 from repro.dynamics import ChurnSchedule, ScriptedAdversary
 from repro.engine import BACKENDS, NodeProgram, iter_traces, run_program
 from repro.engine.trace import RoundRecord
@@ -157,11 +158,20 @@ class TestNoOpIdentity:
         assert probed.trace.to_jsonl() == bare.trace.to_jsonl()
 
 
+class _PerNodeWreath(GraphToWreathProgram):
+    """GraphToWreath pinned to bulk's per-node loop (no wake parking)."""
+
+    bulk_sparse = False
+
+
 class TestBackendProfiles:
-    def test_reference_and_dense_dispatch_pernode(self):
-        for backend in ("reference", "dense"):
+    def test_reference_and_bulk_fallback_dispatch_pernode(self):
+        for backend in BACKENDS:
             telemetry = TelemetryObserver()
-            _run("wreath", "ring", 16, backend, [telemetry])
+            run_program(
+                families.make("ring", 16), _PerNodeWreath, use_barrier=True,
+                backend=backend, observers=[telemetry],
+            )
             prof = telemetry.profile()
             assert prof.dispatch == {"pernode": prof.rounds}
             assert prof.live is not None and prof.live["max"] <= 16
