@@ -267,11 +267,12 @@ class ConnectivityChecker(_EdgeReplay):
 
     name = "connectivity"
 
-    # A third union-find next to the engine's ConnectivityTracker /
-    # DenseConnectivityTracker is deliberate: those fold live Network
-    # state, while this one folds the *record stream* over a replayed
-    # adjacency (including offline traces, where no Network exists) —
-    # trusting an engine tracker would defeat the audit.
+    # This union-find keeps its own state on purpose: the engine guards
+    # fold live Network state, while this one folds the *record stream*
+    # over a replayed adjacency (including offline traces, where no
+    # Network exists) — trusting an engine tracker would defeat the
+    # audit.  Its array twin shares the bulk guard's fold *code*
+    # (repro.engine.dense._uf_fold), never its state.
 
     def on_run_start(self, network) -> None:
         super().on_run_start(network)

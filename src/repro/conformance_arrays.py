@@ -21,9 +21,11 @@ Representation (see DESIGN.md, "Observer pipeline & conformance"):
   merge/delete (O(E + k) memcpy), never by rebuilding.
 * A whole round's legality is checked as batched membership passes plus
   one flat-expanded distance-2 pass; connectivity folds activations
-  into a flat-array union-find (min-label hooking + full path
-  compression) and only recomputes from scratch on rounds that actually
-  removed an edge.
+  into a flat-array union-find and only recomputes from scratch on
+  rounds that actually removed an edge.  The fold is
+  :func:`repro.engine.dense._uf_fold`, the code the bulk backend's
+  connectivity guard runs; each keeps its own parent array, so the
+  audit never reads engine state.
 * External perturbations are rare and semantically fiddly, so they are
   folded by the *dict* replay itself on a materialized adjacency
   (equality with ``Network.apply_external`` by shared code), then the
@@ -37,6 +39,7 @@ from itertools import chain
 import numpy as np
 
 from .conformance import _MAX_DETAILS, InvariantChecker, _EdgeReplay, _lbl, _le
+from .engine.dense import _uf_fold
 from .engine.trace import sorted_edges
 from .errors import ConfigurationError
 
@@ -90,24 +93,6 @@ def _delete_from(base, rem):
     if rem.size == 0:
         return base
     return np.delete(base, np.searchsorted(base, rem))
-
-
-def _uf_fold(parent, uu, vv):
-    """Fold edges into a flat union-find: min-label hooking with full
-    path compression, iterated to fixpoint.  Returns the fully
-    compressed parent array (every entry points at its root)."""
-    p = parent
-    while True:
-        while True:
-            q = p[p]
-            if np.array_equal(q, p):
-                break
-            p = q
-        ru, rv = p[uu], p[vv]
-        diff = ru != rv
-        if not diff.any():
-            return p
-        np.minimum.at(p, np.maximum(ru[diff], rv[diff]), np.minimum(ru[diff], rv[diff]))
 
 
 class _DictProxy:
@@ -321,11 +306,10 @@ class ArrayConnectivityChecker(_ArrayReplay):
         self._rebuild()
 
     def _rebuild(self) -> None:
-        parent = np.arange(self._n, dtype=np.int64)
-        if self._keys.size:
-            parent = _uf_fold(parent, self._keys >> _SHIFT, self._keys & _MASK)
-        self._parent = parent
-        self._components = int((parent == np.arange(self._n)).sum())
+        self._parent, merges = _uf_fold(
+            np.arange(self._n, dtype=np.int64), self._keys >> _SHIFT, self._keys & _MASK
+        )
+        self._components = self._n - merges
 
     def on_round(self, record) -> None:
         su, sv, _ = self._to_slots(record.activations)
@@ -335,9 +319,8 @@ class ArrayConnectivityChecker(_ArrayReplay):
         if gone.size:
             self._rebuild()
         elif added.size:
-            parent = _uf_fold(self._parent, added >> _SHIFT, added & _MASK)
-            self._parent = parent
-            self._components = int((parent == np.arange(self._n)).sum())
+            self._parent, merges = _uf_fold(self._parent, added >> _SHIFT, added & _MASK)
+            self._components -= merges
         if self._components > 1:
             self._fail(f"{self._where(record.round)}: network disconnected")
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.trace import RoundRecord
 from ..errors import ProtocolViolation
 
 #: Arrival epochs are kept in an int64 bitmask and the conduit probe
@@ -170,28 +169,7 @@ class RebuildSim:
         actions = runner._actions
         actions.clear()
         self._sim_round(round_no, actions)
-
-        per_node = actions.activation_count_by_actor() if actions.activations else None
-        activations, deactivations = net.apply(actions, strict=runner.strict)
-        recorder.record_round(activations, deactivations, per_node)
-        if runner._conn is not None:
-            connected = runner._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
-        if observers is not None:
-            record = RoundRecord(
-                round=round_no,
-                activations=frozenset(activations),
-                deactivations=frozenset(deactivations),
-                active_edges=net.num_active_edges,
-                activated_edges=net.num_activated_edges,
-                connected=connected,
-                barrier_epoch=runner.barrier_epoch,
-            )
-            for obs in observers:
-                obs.on_round(record)
+        activations, deactivations = runner._commit_round(recorder, observers, actions)
 
         barrier_wakes = 0
         if self.settled.all():

@@ -48,11 +48,9 @@ from operator import attrgetter
 import networkx as nx
 import numpy as np
 
-from ..errors import ConfigurationError, ExecutionError, ProtocolViolation
-from .actions import RoundActions
+from ..errors import ProtocolViolation
 from .dense import DenseConnectivityTracker, DenseContext, DenseNetwork
 from .runner import SynchronousRunner
-from .trace import PerturbationRecord
 
 #: Sentinel wake round for "parked until an external wake condition".
 _NEVER = np.iinfo(np.int64).max // 2
@@ -69,8 +67,9 @@ _BARRIER_READY = attrgetter("barrier_ready")
 class BulkRunner(SynchronousRunner):
     """The bulk backend's round executor.
 
-    Inherits construction, setup, and the outer run loop from
-    :class:`SynchronousRunner`; replaces the per-round machinery with
+    Inherits construction, setup, the outer run loop, the round commit
+    and the strike path from :class:`SynchronousRunner`; replaces the
+    per-round compute with
     persistent parallel slot arrays — uids, programs, pre-bound
     ``compose`` / ``transition`` / ``public`` / ``bulk_next_wake``
     methods, contexts — rebuilt only when the live set changes.  The
@@ -148,19 +147,20 @@ class BulkRunner(SynchronousRunner):
         self._slots = [s for s in self._slots if not s[1].halted]
         self._refresh_slot_arrays()
 
-    def _post_setup(self) -> None:
-        """Build the slot arrays, snapshot every post-setup public, and
-        decide whether an array kernel owns the run."""
-        publics = self._publics
+    def _rebuild_slots(self) -> None:
+        """Rebuild the slot arrays from the live set (its contexts are
+        refreshed on the way, ``n`` included)."""
         programs = self.programs
         self._slots = [
             (uid, programs[uid], self._context(uid)) for uid in self._live
         ]
-        for uid, prog in programs.items():
-            publics[uid] = prog.public()
-            prog.public_dirty = False
-        self._dirty.clear()
         self._refresh_slot_arrays()
+
+    def _post_setup(self) -> None:
+        """Build the slot arrays, snapshot every post-setup public, and
+        decide whether an array kernel owns the run."""
+        self._flush_dirty()
+        self._rebuild_slots()
         self._kernel = None
         self._kstate = None
         self._assist = None
@@ -304,21 +304,7 @@ class BulkRunner(SynchronousRunner):
             wake[due_list] = new_wakes
             stale[due_list] = False
 
-        per_node = actions.activation_count_by_actor() if actions.activations else None
-        activations, deactivations = net.apply(actions, strict=self.strict)
-        recorder.record_round(activations, deactivations, per_node)
-
-        if self._conn is not None:
-            connected = self._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
-
-        if observers is not None:
-            self._emit_round(
-                observers, net, round_no, activations, deactivations, connected
-            )
+        activations, deactivations = self._commit_round(recorder, observers, actions)
 
         # Commit re-bound public records (visible from next round) and
         # propagate the wake condition to the broadcasting node's
@@ -383,7 +369,12 @@ class BulkRunner(SynchronousRunner):
             self._uids, progs, self._publicfns, self._ctxs
         ):
             prog.on_barrier(epoch)
-            publics[uid] = public()
+            if prog.manages_public_dirty:
+                if prog.public_dirty:
+                    publics[uid] = public()
+                    prog.public_dirty = False
+            else:
+                publics[uid] = public()
             ctx.barrier_epoch = epoch
         # Every program runs again after a barrier (wake condition),
         # and on_barrier() may halt — those must not run again.
@@ -418,30 +409,14 @@ class BulkRunner(SynchronousRunner):
         # recorder exactly as on the per-node backends.
         if kernel.produces_actions:
             newly_halted, actions = kernel.step_round(self._kstate, round_no)
-            per_node = (
-                actions.activation_count_by_actor() if actions.activations else None
-            )
         else:
             newly_halted = kernel.step_round(self._kstate, round_no)
             actions = self._actions
             actions.clear()
-            per_node = None
 
-        activations, deactivations = net.apply(actions, strict=self.strict)
-        recorder.record_round(activations, deactivations, per_node)
+        activations, deactivations = self._commit_round(recorder, observers, actions)
         if kernel.produces_actions and (activations or deactivations):
             kernel.apply_effective(self._kstate, activations, deactivations)
-        if self._conn is not None:
-            connected = self._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
-
-        if observers is not None:
-            self._emit_round(
-                observers, net, round_no, activations, deactivations, connected
-            )
 
         live = self._live
         for uid in newly_halted:
@@ -480,10 +455,11 @@ class BulkRunner(SynchronousRunner):
         live = self._live
         ctxs = self._ctxs
         progs = self._progs
+        round_no = net.round
 
         if observers is not None:
             for obs in observers:
-                obs.on_round_start(net.round)
+                obs.on_round_start(round_no)
 
         # 1. Send.  Only live programs send; a message to a halted
         # neighbor is legal but can never be read, so it is not enqueued.
@@ -518,26 +494,11 @@ class BulkRunner(SynchronousRunner):
             for transition, ctx in zip(self._transitions, ctxs):
                 transition(ctx, get_box(ctx.uid) or _EMPTY_INBOX)
         staged = [public() for public in self._publicfns] if self._all_plain else None
-        next_round = net.round + 1
+        next_round = round_no + 1
         for ctx in ctxs:
             ctx.round = next_round
 
-        per_node = actions.activation_count_by_actor() if actions.activations else None
-        round_no = net.round
-        activations, deactivations = net.apply(actions, strict=self.strict)
-        recorder.record_round(activations, deactivations, per_node)
-
-        if self._conn is not None:
-            connected = self._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
-
-        if observers is not None:
-            self._emit_round(
-                observers, net, round_no, activations, deactivations, connected
-            )
+        activations, deactivations = self._commit_round(recorder, observers, actions)
 
         # Commit the pooled snapshots in one bulk pass (including a
         # halting program's final state, which neighbors may still read).
@@ -561,22 +522,7 @@ class BulkRunner(SynchronousRunner):
         # Global segment barrier (DESIGN.md note 2).  The batch is already
         # post-transition, so the barrier cannot fire after a global halt.
         if self.use_barrier and progs and False not in map(_BARRIER_READY, progs):
-            self.barrier_epoch += 1
-            epoch = self.barrier_epoch
-            for uid, prog, public, ctx in zip(
-                self._uids, progs, self._publicfns, self._ctxs
-            ):
-                prog.on_barrier(epoch)
-                if prog.manages_public_dirty:
-                    if prog.public_dirty:
-                        publics[uid] = public()
-                        prog.public_dirty = False
-                else:
-                    publics[uid] = public()
-                ctx.barrier_epoch = epoch
-            # on_barrier() may halt; those programs must not run again.
-            if True in map(_HALTED, progs):
-                self._rebuild_batch()
+            self._barrier_block(next_round)
 
         if self._probe is not None:
             self._probe.probe_round(
@@ -588,96 +534,15 @@ class BulkRunner(SynchronousRunner):
     # external dynamics (see repro.dynamics and DESIGN.md note 8)
     # ------------------------------------------------------------------
 
-    def _apply_adversary(self, adversary, recorder, observers) -> None:
-        """Apply one adversary strike at the current round boundary.
-
-        Mirrors the reference backend exactly; publics are already fresh
-        (every round path re-snapshots eagerly), so joined programs'
-        setup() reads current broadcast state on both backends.
-        """
-        net = self.network
-        pert = adversary.perturb(net, net.round)
-        if not pert:
-            return
-        programs = self.programs
-
-        joins = []
-        join_uids = []
-        for uid, att in pert.joins:
-            if uid in programs or uid in net.nodes or uid in join_uids:
-                continue
-            joins.append((uid, att))
-            join_uids.append(uid)
-
-        dropped, added = net.apply_external(
-            drops=pert.drops, adds=pert.adds, crashes=pert.crashes, joins=joins
-        )
-        crashed = [
-            u for u in pert.crashes
-            if u in programs and u not in net.nodes and not programs[u].crashed
-        ]
-        recorder.record_external(dropped, added, crashed, [(u, ()) for u in join_uids])
-
-        for uid in crashed:
-            prog = programs[uid]
-            prog.crashed = True
-            prog.halted = True
-            self._contexts.pop(uid, None)
-        if crashed:
-            self._rebuild_batch()
-
-        for uid in join_uids:
-            prog = self.program_factory(uid)
-            if prog.uid != uid:
-                raise ConfigurationError(f"program for joined node {uid} reports uid {prog.uid}")
-            programs[uid] = prog
-            self._publics[uid] = prog.public()
-            setup_actions = RoundActions()
-            ctx = DenseContext(
-                uid=uid,
-                round_no=net.round,
-                publics=self._publics,
-                actions=setup_actions,
-                network=net,
-                n=net.n if self.knows_n else None,
-                barrier_epoch=self.barrier_epoch,
-            )
-            prog.setup(ctx)
-            if setup_actions:
-                raise ProtocolViolation("setup() must not request edge actions")
-            self._publics[uid] = prog.public()
-            prog.public_dirty = False
-            if not prog.halted:
-                self._slots.append((uid, prog, self._context(uid)))
-        if join_uids:
-            self._refresh_slot_arrays()
-
-        # Crashes/joins changed n: refresh the persistent contexts once.
-        if self.knows_n:
-            n = net.n
-            for ctx in self._ctxs:
-                ctx.n = n
-
-        if self._conn is not None and not self._conn.rebuild():
-            raise ExecutionError(
-                f"adversary disconnected the network at the round-{net.round} boundary"
-            )
-
-        if observers is not None:
-            record = PerturbationRecord(
-                round=net.round,
-                drops=frozenset(dropped),
-                adds=frozenset(added),
-                crashes=tuple(crashed),
-                joins=tuple(joins),
-            )
-            for obs in observers:
-                obs.on_perturbation(record)
-
-        # A perturbation is a wake condition for everyone: adjacency,
-        # membership, and n may all have changed.
+    def _after_strike(self, membership_changed: bool) -> None:
+        """Re-snapshot joined programs' publics and rebuild the slots
+        (crashes and joins change the live set and ``n``), then wake
+        everyone: adjacency, membership and ``n`` may all have changed."""
+        if membership_changed:
+            self._flush_dirty()
+            self._rebuild_slots()
         if self._sparse and len(self._wake):
-            self._wake[:] = net.round
+            self._wake[:] = self.network.round
             self._stale[:] = True
             if self._probe is not None:
                 self._probe.probe_wake("perturbation", len(self._wake))

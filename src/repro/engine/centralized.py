@@ -16,7 +16,7 @@ import networkx as nx
 from ..errors import ExecutionError
 from .actions import RoundActions
 from .metrics import Metrics, MetricsRecorder
-from .network import Network
+from .network import ConnectivityTracker, Network
 from .observers import TraceObserver
 from .trace import RoundRecord, Trace
 
@@ -67,6 +67,7 @@ def run_centralized(
     network = Network(graph)
     strategy.setup(network)
     recorder = MetricsRecorder(network)
+    tracker = ConnectivityTracker(network) if check_connectivity else None
     pipeline = list(observers)
     trace_observer = None
     if collect_trace:
@@ -94,7 +95,7 @@ def run_centralized(
                 o.on_round_start(round_no)
         activations, deactivations = network.apply(actions, strict=strict)
         recorder.record_round(activations, deactivations, per_node)
-        connected = network.is_connected() if check_connectivity else True
+        connected = tracker.update(activations, deactivations) if tracker is not None else True
         if obs is not None:
             record = RoundRecord(
                 round=round_no,

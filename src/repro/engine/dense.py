@@ -15,7 +15,8 @@ changes is the machinery, not the model:
   original edge sets are sets of packed int pairs
   (``min_idx << 32 | max_idx``) — membership tests hash one small int
   instead of a tuple of uids;
-* the connectivity guard's union-find runs on plain index arrays;
+* the connectivity guard's union-find runs on numpy index arrays
+  (:func:`_uf_fold`, shared with the array connectivity audit);
 * each round's effective activations and deactivations are applied in
   one batched pass over the packed-pair sets.
 
@@ -29,6 +30,7 @@ backends") spells out the equivalence argument.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 
 from ..errors import ConfigurationError, ProtocolViolation
 from .actions import RoundActions, canonical_view, edge_key
@@ -413,12 +415,45 @@ class DenseNetwork:
         return dropped, added
 
 
-class DenseConnectivityTracker:
-    """Union-find connectivity guard on the interned index space.
+def _uf_fold(parent, uu, vv):
+    """Fold edges into a flat union-find: min-label hooking with full
+    path compression, iterated to fixpoint.  ``parent`` must be fully
+    compressed (every entry points at its root) and may be overwritten.
+    Returns the fully compressed result and the number of components
+    merged away (each hooked root stops being a root, and no new root
+    appears), so callers count components without scanning the array.
 
-    Same incremental contract as :class:`ConnectivityTracker` — near-O(1)
-    activation folding, full rebuild after deactivations — but parent and
-    rank live in flat index-keyed lists instead of uid-keyed dicts.
+    The one array union-find: the bulk connectivity guard and the array
+    connectivity audit (:mod:`repro.conformance_arrays`) share this code
+    and keep separate state.
+    """
+    p = parent
+    merges = 0
+    while True:
+        ru, rv = p[uu], p[vv]
+        diff = ru != rv
+        if not diff.any():
+            return p, merges
+        hi = np.maximum(ru[diff], rv[diff])
+        np.minimum.at(p, hi, np.minimum(ru[diff], rv[diff]))
+        # Count the distinct hooked roots by sorting: np.unique imports
+        # numpy.ma on first use (~10 ms per process).
+        hi.sort()
+        merges += 1 + int(np.count_nonzero(hi[1:] != hi[:-1]))
+        while True:
+            q = p[p]
+            if np.array_equal(q, p):
+                break
+            p = q
+
+
+class DenseConnectivityTracker:
+    """Connectivity guard on the interned index space.
+
+    Same incremental contract as :class:`ConnectivityTracker` — each
+    activation-only round folds into the union-find, a round with
+    deactivations rebuilds it — over the shared array union-find
+    (:func:`_uf_fold`) instead of uid-keyed dicts.
     """
 
     def __init__(self, network: DenseNetwork) -> None:
@@ -428,32 +463,13 @@ class DenseConnectivityTracker:
     def _rebuild(self) -> None:
         net = self._network
         size = len(net._uid_of)
-        self._parent = list(range(size))
-        self._rank = [0] * size
-        self._components = net.n
-        for pair in net._active_pairs:
-            self._union(pair >> _SHIFT, pair & _MASK)
-
-    def _find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def _union(self, i: int, j: int) -> None:
-        ri, rj = self._find(i), self._find(j)
-        if ri == rj:
-            return
-        rank = self._rank
-        if rank[ri] < rank[rj]:
-            ri, rj = rj, ri
-        self._parent[rj] = ri
-        if rank[ri] == rank[rj]:
-            rank[ri] += 1
-        self._components -= 1
+        pairs = net._active_pairs
+        keys = np.fromiter(pairs, np.int64, len(pairs))
+        self._parent, merges = _uf_fold(
+            np.arange(size, dtype=np.int64), keys >> _SHIFT, keys & _MASK
+        )
+        # Crashed indices are never reused: each is an edgeless root.
+        self._components = net.n - merges
 
     @property
     def components(self) -> int:
@@ -468,10 +484,13 @@ class DenseConnectivityTracker:
         """Fold one round's effective uid-space action sets."""
         if deactivations:
             self._rebuild()
-        else:
+        elif activations:
             idx_of = self._network._idx_of
-            for u, v in activations:
-                self._union(idx_of[u], idx_of[v])
+            flat = np.fromiter(
+                (idx_of[u] for e in activations for u in e), np.int64, 2 * len(activations)
+            )
+            self._parent, merges = _uf_fold(self._parent, flat[0::2], flat[1::2])
+            self._components -= merges
         return self._components <= 1
 
     def is_connected(self) -> bool:

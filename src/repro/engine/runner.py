@@ -265,6 +265,40 @@ class SynchronousRunner:
                 ctx.n = self.network.n if self.knows_n else None
         return ctx
 
+    def _setup_program(self, uid, prog: NodeProgram) -> None:
+        """Run ``prog.setup`` on a fresh read-only context.
+
+        The context writes into the runner's action batch, which is idle
+        between rounds; setup() must leave it empty.
+        """
+        net = self.network
+        actions = self._actions
+        actions.clear()
+        prog.setup(
+            self._context_cls(
+                uid=uid,
+                round_no=net.round,
+                publics=self._publics,
+                actions=actions,
+                network=net,
+                n=net.n if self.knows_n else None,
+                barrier_epoch=self.barrier_epoch,
+            )
+        )
+        if actions:
+            raise ProtocolViolation("setup() must not request edge actions")
+
+    def _flush_dirty(self) -> None:
+        """Re-snapshot every public record marked stale."""
+        if self._dirty:
+            programs = self.programs
+            publics = self._publics
+            for uid in self._dirty:
+                prog = programs[uid]
+                publics[uid] = prog.public()
+                prog.public_dirty = False
+            self._dirty.clear()
+
     def run(self, adversary=None) -> RunResult:
         net = self.network
         programs = self.programs
@@ -297,22 +331,10 @@ class SynchronousRunner:
         self._n_dynamic = adversary is not None
 
         # Setup hooks (before round 1), read-only contexts.
-        setup_actions = RoundActions()
         for uid, prog in programs.items():
             self._publics[uid] = prog.public()
         for uid, prog in programs.items():
-            ctx = self._context_cls(
-                uid=uid,
-                round_no=net.round,
-                publics=self._publics,
-                actions=setup_actions,
-                network=net,
-                n=net.n if self.knows_n else None,
-                barrier_epoch=self.barrier_epoch,
-            )
-            prog.setup(ctx)
-        if setup_actions:
-            raise ProtocolViolation("setup() must not request edge actions")
+            self._setup_program(uid, prog)
         # setup() may change public-visible state: round 1 must re-snapshot.
         self._dirty.update(programs)
         # A program may halt during setup(); it must not run any round.
@@ -353,26 +375,47 @@ class SynchronousRunner:
 
     # ------------------------------------------------------------------
 
+    def _commit_round(
+        self, recorder: MetricsRecorder, observers: tuple | None, actions: RoundActions
+    ) -> tuple[set, set]:
+        """Commit one round's requested actions; return the effective sets.
+
+        The one commit sequence every round path shares: legality
+        ``apply``, the edge-complexity measures, the connectivity guard
+        and observer emission, in that order.
+        """
+        net = self.network
+        round_no = net.round
+        per_node = actions.activation_count_by_actor() if actions.activations else None
+        activations, deactivations = net.apply(actions, strict=self.strict)
+        recorder.record_round(activations, deactivations, per_node)
+        if self._conn is not None:
+            connected = self._conn.update(activations, deactivations)
+            if not connected:
+                raise ProtocolViolation(f"round {round_no} broke connectivity")
+        else:
+            connected = True
+        if observers is not None:
+            self._emit_round(
+                observers, net, round_no, activations, deactivations, connected
+            )
+        return activations, deactivations
+
     def _run_round(self, recorder: MetricsRecorder, observers: tuple | None) -> None:
         net = self.network
         programs = self.programs
         live = self._live
-        publics = self._publics
         actions = self._actions
         actions.clear()
+        round_no = net.round
 
         if observers is not None:
             for obs in observers:
-                obs.on_round_start(net.round)
+                obs.on_round_start(round_no)
 
         # Re-snapshot the public records that went stale last round; every
         # other node's snapshot (notably every halted node's) is current.
-        if self._dirty:
-            for uid in self._dirty:
-                prog = programs[uid]
-                publics[uid] = prog.public()
-                prog.public_dirty = False
-            self._dirty.clear()
+        self._flush_dirty()
 
         batch = [(uid, programs[uid], self._context(uid)) for uid in live]
 
@@ -398,22 +441,7 @@ class SynchronousRunner:
             if not prog.manages_public_dirty:
                 prog.public_dirty = True
 
-        per_node = actions.activation_count_by_actor()
-        round_no = net.round
-        activations, deactivations = net.apply(actions, strict=self.strict)
-        recorder.record_round(activations, deactivations, per_node)
-
-        if self._conn is not None:
-            connected = self._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
-
-        if observers is not None:
-            self._emit_round(
-                observers, net, round_no, activations, deactivations, connected
-            )
+        activations, deactivations = self._commit_round(recorder, observers, actions)
 
         # Mark stale publics (including a halting program's final state,
         # which neighbors may still read in later rounds) and retire the
@@ -498,34 +526,20 @@ class SynchronousRunner:
 
         # A joined node's setup() reads its neighbors' *current* broadcast
         # state: flush any still-dirty snapshots from the round that just
-        # ended before spawning (matches the bulk backend, which
-        # re-snapshots eagerly at the end of every round).
-        if join_uids and self._dirty:
-            for uid in self._dirty:
-                prog = programs[uid]
-                self._publics[uid] = prog.public()
-                prog.public_dirty = False
-            self._dirty.clear()
-
+        # ended before spawning.  As in run(), every joiner's record
+        # exists before any joiner's setup() runs (joiners may be
+        # adjacent to each other).
+        if join_uids:
+            self._flush_dirty()
         for uid in join_uids:
             prog = self.program_factory(uid)
             if prog.uid != uid:
                 raise ConfigurationError(f"program for joined node {uid} reports uid {prog.uid}")
             programs[uid] = prog
             self._publics[uid] = prog.public()
-            setup_actions = RoundActions()
-            ctx = self._context_cls(
-                uid=uid,
-                round_no=net.round,
-                publics=self._publics,
-                actions=setup_actions,
-                network=net,
-                n=net.n if self.knows_n else None,
-                barrier_epoch=self.barrier_epoch,
-            )
-            prog.setup(ctx)
-            if setup_actions:
-                raise ProtocolViolation("setup() must not request edge actions")
+        for uid in join_uids:
+            prog = programs[uid]
+            self._setup_program(uid, prog)
             self._dirty.add(uid)
             if not prog.halted:
                 live[uid] = None
@@ -545,6 +559,16 @@ class SynchronousRunner:
             )
             for obs in observers:
                 obs.on_perturbation(record)
+
+        self._after_strike(bool(crashed or join_uids))
+
+    def _after_strike(self, membership_changed: bool) -> None:
+        """Hook run at the end of every applied strike.
+
+        ``membership_changed`` says whether nodes crashed or joined.  The
+        reference loop needs nothing: it re-reads the live set, stale
+        publics and ``n`` at the next round.
+        """
 
 
 def _default_round_limit(n: int) -> int:

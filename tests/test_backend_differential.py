@@ -244,15 +244,91 @@ def test_runner_scripted_adversary_equivalent():
         assert traces[backend] == traces["reference"], backend
 
 
-def test_runner_connectivity_guard_equivalent():
+class _SetupReader(NodeProgram):
+    """Records its neighbors' records as setup() sees them, and changes
+    its own record during setup()."""
+
+    def setup(self, ctx):
+        self.saw = sorted((v, rec["ready"]) for v, rec in ctx.neighbor_publics())
+        self.ready = True
+
+    def public(self):
+        return {"uid": self.uid, "ready": getattr(self, "ready", False)}
+
+    def transition(self, ctx, inbox):
+        if ctx.round >= 4:
+            self.halt()
+
+
+def test_adjacent_joiners_setup_equivalent():
+    """Two nodes joining in one strike, the second attached to the
+    first: each joiner's setup() reads the other's pre-setup record, on
+    every backend."""
+    script = {2: {"joins": [(100, (0,)), (101, (100,))]}}
+    saw = {}
     for backend in ["reference", *COMPARISON_BACKENDS]:
-        graph = families.make("ring", 16)
         res = run_program(
-            graph, _Chatterer, collect_trace=True, check_connectivity=True,
-            adversary=ChurnSchedule(rate=0.2, seed=7, policy="reroute", start=2, period=3),
-            backend=backend,
+            families.make("ring", 8), _SetupReader,
+            adversary=ScriptedAdversary(dict(script)), backend=backend,
         )
-        assert res.trace.all_connected()
+        saw[backend] = {u: p.saw for u, p in res.programs.items()}
+    assert saw["reference"][100] == [(0, True), (101, False)]
+    assert saw["reference"][101] == [(100, False)]
+    for backend in COMPARISON_BACKENDS:
+        assert saw[backend] == saw["reference"], backend
+
+
+def _churned_chatterer(backend):
+    runner = SynchronousRunner(
+        families.make("ring", 16), _Chatterer, collect_trace=True,
+        check_connectivity=True, backend=backend,
+        adversary=ChurnSchedule(rate=0.2, seed=7, policy="reroute", start=2, period=3),
+    )
+    return runner.run()
+
+
+def _guarded_star(backend):
+    runner = SynchronousRunner(
+        families.make("ring", 512), GraphToStarProgram, collect_trace=True,
+        check_connectivity=True, backend=backend,
+    )
+    result = runner.run()
+    if backend == "bulk":
+        assert runner._kernel is not None, "star did not take the kernel path"
+    return result
+
+
+def _guarded_wreath(backend):
+    runner = SynchronousRunner(
+        families.make("ring", 512), GraphToWreathProgram, collect_trace=True,
+        check_connectivity=True, use_barrier=True, backend=backend,
+    )
+    return runner.run()
+
+
+def test_runner_connectivity_guard_equivalent(monkeypatch):
+    """The connectivity guard on bulk's sparse path with strikes, the
+    star kernel and the wreath rebuild assist leaves traces
+    byte-identical and Metrics equal to the guarded reference run."""
+    import repro.core.rebuild_arrays as ra
+
+    assisted = []
+    step_round = ra.RebuildSim.step_round
+
+    def counting(self, *args, **kwargs):
+        assisted.append(self)
+        return step_round(self, *args, **kwargs)
+
+    monkeypatch.setattr(ra.RebuildSim, "step_round", counting)
+    for cell in (_churned_chatterer, _guarded_star, _guarded_wreath):
+        ref = cell("reference")
+        assert ref.trace.all_connected(), cell.__name__
+        for backend in COMPARISON_BACKENDS:
+            alt = cell(backend)
+            label = f"{cell.__name__}/{backend}"
+            assert alt.trace.to_jsonl() == ref.trace.to_jsonl(), label
+            assert alt.metrics == ref.metrics, label
+    assert assisted, "wreath did not take the rebuild assist"
 
 
 # ----------------------------------------------------------------------

@@ -263,6 +263,29 @@ class TestReadOnlyContext:
         # The network was not corrupted: still the original path.
         assert set(res.final_graph().edges()) == {(0, 1), (1, 2)}
 
+    @pytest.mark.parametrize("backend", ["reference", "bulk"])
+    @pytest.mark.parametrize("eager", [0, 100], ids=["run-start", "joined"])
+    def test_setup_must_not_request_edge_actions(self, backend, eager):
+        """setup() gets a read-only context both before round 1 and for
+        a node joined by a strike."""
+        from repro.dynamics import ScriptedAdversary
+
+        class EagerSetup(NodeProgram):
+            def setup(self, ctx):
+                if self.uid == eager:
+                    ctx.activate(2)
+
+            def transition(self, ctx, inbox):
+                if ctx.round == 4:
+                    self.halt()
+
+        runner = SynchronousRunner(
+            nx.path_graph(4), EagerSetup, backend=backend,
+            adversary=ScriptedAdversary({2: {"joins": [(100, (1,))]}}),
+        )
+        with pytest.raises(ProtocolViolation, match="setup"):
+            runner.run()
+
     def test_context_reuse_tracks_round(self):
         class Keeper(NodeProgram):
             def __init__(self, uid):

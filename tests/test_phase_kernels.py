@@ -422,3 +422,42 @@ class TestWreathRebuildAssistLockstep:
         for sim in {id(s): s for s in calls}.values():
             assert sim.settled.all()
         assert runner._wreath_assist is None
+
+    def test_assist_rounds_deliver_raw_rounds(self, monkeypatch):
+        """An observer declaring ``accepts_raw_rounds`` receives only
+        borrowed RawRounds, on the assist's simulated rounds too."""
+        import repro.core.rebuild_arrays as ra
+        from repro.core.graph_to_wreath import GraphToWreathProgram
+        from repro.engine import RoundObserver, SynchronousRunner
+        from repro.engine.observers import RawRound
+        from repro.graphs import families
+
+        class RawCollector(RoundObserver):
+            accepts_raw_rounds = True
+
+            def __init__(self):
+                self.kinds = {}
+
+            def on_round(self, record):
+                self.kinds[record.round] = type(record)
+
+        assist_rounds = []
+        orig = ra.RebuildSim.step_round
+
+        def counting(self, runner, *args, **kwargs):
+            assist_rounds.append(runner.network.round)
+            return orig(self, runner, *args, **kwargs)
+
+        monkeypatch.setattr(ra.RebuildSim, "step_round", counting)
+        collector = RawCollector()
+        result = SynchronousRunner(
+            families.make("ring", 1024),
+            GraphToWreathProgram,
+            backend="bulk",
+            use_barrier=True,
+            observers=[collector],
+        ).run()
+        assert assist_rounds, "rebuild assist never engaged"
+        assert sorted(collector.kinds) == list(range(1, result.rounds + 1))
+        assert {collector.kinds[r] for r in assist_rounds} == {RawRound}
+        assert set(collector.kinds.values()) == {RawRound}

@@ -10,6 +10,8 @@ illegal) ``RoundActions`` batches, checking after every round:
 * strict mode rejects the first illegal action *atomically* — the
   network state (nodes, adjacency, active edges, round counter) is
   untouched by a rejected batch;
+* the shared array union-find ``_uf_fold`` agrees with networkx
+  components batch by batch;
 * the dense backend's :class:`DenseNetwork` stays observably equal to
   the reference :class:`Network` under the same action stream (the
   state-level arm of the cross-backend differential oracle).
@@ -22,7 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from repro.engine import ConnectivityTracker, Network, RoundActions, edge_key  # noqa: E402
-from repro.engine.dense import DenseConnectivityTracker, DenseNetwork  # noqa: E402
+from repro.engine.dense import DenseConnectivityTracker, DenseNetwork, _uf_fold  # noqa: E402
 from repro.errors import ProtocolViolation  # noqa: E402
 
 
@@ -216,6 +218,10 @@ def test_dense_external_mutation_matches_reference(data):
     n = graph.number_of_nodes()
     ref = Network(graph)
     dense = DenseNetwork(graph)
+    # Persistent guards, rebuilt after each strike: crashes leave dead
+    # indices in the array union-find, joins grow its index space.
+    ref_tracker = ConnectivityTracker(ref)
+    dense_tracker = DenseConnectivityTracker(dense)
     node = st.integers(min_value=0, max_value=n + 2)
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         drops = data.draw(st.lists(st.tuples(node, node), max_size=3))
@@ -238,3 +244,28 @@ def test_dense_external_mutation_matches_reference(data):
         assert _observable_state(dense) == _observable_state(ref)
         for u in ref.nodes:
             assert list(ref.neighbors(u)) == list(dense.neighbors(u))
+        assert dense_tracker.rebuild() == ref_tracker.rebuild()
+        assert dense_tracker.components == ref_tracker.components
+
+
+@given(data=st.data())
+def test_uf_fold_matches_networkx(data):
+    """Folding edge batches one after another leaves every index pointing
+    at the smallest index of its component, and the merge counts add up
+    to n minus the component count."""
+    np = pytest.importorskip("numpy")
+    n = data.draw(st.integers(min_value=1, max_value=30))
+    node = st.integers(min_value=0, max_value=n - 1)
+    g = nx.empty_graph(n)
+    parent = np.arange(n, dtype=np.int64)
+    components = n
+    for batch in data.draw(st.lists(st.lists(st.tuples(node, node), max_size=12), max_size=5)):
+        uu = np.array([u for u, _ in batch], dtype=np.int64)
+        vv = np.array([v for _, v in batch], dtype=np.int64)
+        parent, merges = _uf_fold(parent, uu, vv)
+        components -= merges
+        g.add_edges_from(batch)
+        assert components == nx.number_connected_components(g)
+        for comp in nx.connected_components(g):
+            root = min(comp)
+            assert all(parent[x] == root for x in comp)
